@@ -6,14 +6,17 @@ computes the aggregate results, and enforces the filters."
 Windows start every ``step`` and span ``window`` (they overlap when
 ``step < window``); an event is exploded into every window containing it.
 Historical aggregate access ``amt[k]`` resolves to the same group's
-aggregate k windows earlier via a self-join on ``window_id - k``; if that
-window has no events the reference is NULL and the ``having`` comparison
-rejects the row — identically in the synthesized SQL (``sqlgen.py``), which
-the DuckDB oracle verifies.
+aggregate exactly k windows earlier — a range frame over ``wid``, so all
+history depths share one shuffle of the (small) per-window aggregate. If
+that window has no events, or a group column is NULL, the reference is NULL
+and the ``having`` comparison rejects the row — identically in the
+synthesized self-join SQL (``sqlgen.py``), which the DuckDB oracle verifies.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import DEFAULT_ATTR, Analysis
@@ -68,13 +71,18 @@ def window_bounds(ana: Analysis):
     return t0, q.window_ms, q.step_ms, kmax
 
 
-def run(events: DataFrame, ana: Analysis, pin=None) -> DataFrame:
-    """Execute the analyzed anomaly query over the (possibly store-pruned)
-    event DataFrame.
+def history(name: str, k: int, gcols: list[str]) -> Column:
+    """``name[k]``: the group's aggregate exactly k *windows* (not rows)
+    earlier — the aggregate has at most one row per window and group. NULL
+    group keys get NULL history, as the SQL self-join's ``h.c = a.c``."""
+    w = Window.partitionBy(*gcols).orderBy("wid").rangeBetween(-k, -k)
+    keyed = reduce(Column.__and__, [F.col(c).isNotNull() for c in gcols], F.lit(True))
+    return F.when(keyed, F.first(name).over(w))
 
-    ``pin``: callback receiving any DataFrame this run persists, so the
-    caller (the engine) can unpersist it once the query is done.
-    """
+
+def run(events: DataFrame, ana: Analysis) -> DataFrame:
+    """Execute the analyzed anomaly query over the (possibly store-pruned)
+    event DataFrame."""
     q = ana.query
     alias = q.events[0].alias
     t0, w, s, kmax = window_bounds(ana)
@@ -96,25 +104,8 @@ def run(events: DataFrame, ana: Analysis, pin=None) -> DataFrame:
     gcols = group_cols(ana)
     aggs = [agg_expr(n, fc, ana) for n, fc in ana.agg_aliases.items()]
     agg = df.groupBy(*(["wid"] + gcols)).agg(*aggs)
-    if ana.hist_ks:
-        # The per-window aggregate is referenced once per history depth plus
-        # once as the driving side; materialize it so the window explosion
-        # and shuffle run a single time (the result is small: one row per
-        # non-empty window and group).
-        agg = agg.persist()
-        if pin is not None:
-            pin(agg)
-        agg.count()
-
-    # Historical aggregate access: same group, k windows earlier.
-    for k in ana.hist_ks:
-        h = agg.select(
-            *[F.col(c) for c in gcols],
-            (F.col("wid") + F.lit(k)).alias("wid"),
-            *[F.col(n).alias(f"__h{k}__{n}") for n in ana.agg_aliases],
-        )
-        agg = agg.join(h, on=gcols + ["wid"], how="left")
-
+    agg = agg.withColumns({f"__h{k}__{n}": history(n, k, gcols)
+                           for k in ana.hist_ks for n in ana.agg_aliases})
     if q.having is not None:
         cond = to_column(
             q.having,

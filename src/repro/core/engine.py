@@ -2,16 +2,17 @@
 
 ``execute`` runs the full pipeline: parse → dependency compilation →
 semantic analysis → (multievent: per-pattern data queries + pruning-power
-scheduling + left-deep join with measured broadcasts | anomaly: sliding
-window engine). ``plan`` exposes the scheduling decision for inspection and
-tests.
+scheduling + left-deep join with measured broadcasts | anomaly: one-pass
+sliding-window engine, which persists nothing). ``plan`` exposes the
+scheduling decision for inspection and tests.
 
 Per paper §2.3 the engine "synthesizes a SQL data query for every event
 pattern and schedules the execution of these data queries": each pattern's
 pruned scan is executed once and **persisted**, the probe that measures its
 pruning power doubles as its materialization, and the join then combines
 the already-materialized (usually tiny) per-pattern results — never
-re-scanning the event table the way the one-big-SQL baseline must.
+re-scanning the event table the way the one-big-SQL baseline must. The
+persisted scans are pinned until the next ``execute`` or ``plan`` call.
 
 The engine reads either an in-memory DataFrame (``events=``, tests) or the
 partitioned store (``store=``, benchmarks/jobs) — with a store, the query's
@@ -124,8 +125,7 @@ class AIQLEngine:
         ana = self.analyze(text)
         self._release()
         if ana.query.mode == "anomaly":
-            return anomaly_mod.run(self._source(ana), ana,
-                                   pin=self._pinned.append)
+            return anomaly_mod.run(self._source(ana), ana)
         plan = self._plan_multievent(ana)
         joined = join_multievent(plan.dfs, ana, plan.order, plan.broadcast)
         return project_return(joined, ana)

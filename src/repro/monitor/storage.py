@@ -32,6 +32,9 @@ class EventStore:
     def __init__(self, spark: SparkSession, base: str | Path):
         self.spark = spark
         self.base = Path(base)
+        # Base read of the partitioned layout: listed once, reused by every
+        # query until the next write.
+        self._partitioned: DataFrame | None = None
 
     @property
     def partitioned_path(self) -> str:
@@ -56,6 +59,7 @@ class EventStore:
             .option("header", True)
             .csv(self.flat_path)
         )
+        self._partitioned = None
 
     def events_flat(self) -> DataFrame:
         """The generic row-oriented layout (the baseline's side): flat CSV,
@@ -75,7 +79,12 @@ class EventStore:
         and temporal scope. The ``day``/``agentid`` filters hit partition
         directories, so pruning happens at file-listing time, before any
         row is read."""
-        df = self.spark.read.parquet(self.partitioned_path)
+        if self._partitioned is None:
+            # The explicit schema skips inference and types the ``day``
+            # partition column as the schema's string, not DATE.
+            self._partitioned = (self.spark.read.schema(event_spark_schema())
+                                 .parquet(self.partitioned_path))
+        df = self._partitioned
         if agentid is not None:
             df = df.filter(F.col("agentid") == agentid)
         if time_range is not None:
@@ -90,7 +99,4 @@ class EventStore:
                 )
             ]
             df = df.filter(F.col("day").isin(days))
-        # Partition-column type inference reads `day` back as DATE; restore
-        # the schema's string type (after the filters, so pruning still sees
-        # the raw partition column).
-        return df.withColumn("day", F.col("day").cast("string"))
+        return df

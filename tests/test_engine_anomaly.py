@@ -143,6 +143,42 @@ class TestOracleAgreement:
         want = run_duckdb(oracle_sql(text), events=win_pdf)
         assert_same_rows(got, want)
 
+    def test_history_skips_empty_windows(self, spark):
+        # procD's non-empty windows are w0, w5-w7 and w13-w15: k windows
+        # back is NULL across a gap, where k rows back would not be.
+        pdf = make_events([
+            net_ev(1, DAY0 + t * SEC, "write", "D", "procD", "1.1.1.1", 80, a)
+            for t, a in [(0, 10), (30, 50), (35, 60), (70, 100), (75, 5)]])
+        eng = AIQLEngine(spark, events=spark.createDataFrame(
+            pdf, schema=event_spark_schema()))
+        text = q('proc p write ip i as e\n'
+                 'return p, sum(e.amount) as s, count(e.amount) as c\n'
+                 'group by p\nhaving s > s[1] or c > c[2]')
+        got = eng.execute(text).toPandas()
+        want = run_duckdb(oracle_sql(text), events=pdf)
+        assert_same_rows(got, want)
+        assert sorted(got["s"]) == [105, 110]  # w14, w6
+
+    def test_null_group_key_has_no_history(self, spark):
+        # Same rising amounts to a known and to a NULL destination: the SQL
+        # self-join never matches the NULL key, so only 2.2.2.2 is flagged.
+        rows = []
+        for t, a in [(0, 10), (6, 20), (12, 30)]:
+            rows.append(net_ev(1, DAY0 + t * SEC, "write", "M", "procM",
+                               "2.2.2.2", 80, a))
+            rows.append(dict(net_ev(1, DAY0 + t * SEC, "write", "N", "procN",
+                                    "3.3.3.3", 80, a), o_ip=None))
+        pdf = make_events(rows)
+        eng = AIQLEngine(spark, events=spark.createDataFrame(
+            pdf, schema=event_spark_schema()))
+        text = q('proc p write ip i as e\n'
+                 'return i.dstip, avg(e.amount) as amt\n'
+                 'group by i.dstip\nhaving amt > amt[1]')
+        got = eng.execute(text).toPandas()
+        want = run_duckdb(oracle_sql(text), events=pdf)
+        assert_same_rows(got, want)
+        assert len(got) == 2  # w1, w2 of 2.2.2.2
+
     def test_workload_anomaly_on_trace(self, engine, events_pdf):
         from repro.workload.queries import query_by_name
         text = query_by_name("q01_anomaly_exfil").aiql
@@ -151,3 +187,15 @@ class TestOracleAgreement:
         assert_same_rows(got, want)
         assert {"powershell.exe", "sbblv.exe"} <= set(got["p"])
         assert "telemetry.exe" not in set(got["p"])
+
+
+class TestPlanShape:
+    def test_history_is_one_window_not_self_joins(self, win_engine):
+        out = win_engine.execute(q(
+            'proc p write ip i as e\n'
+            'return p, avg(e.amount) as amt\ngroup by p\n'
+            'having amt > (amt[1] + amt[2] + amt[3]) / 3'))
+        plan = out._jdf.queryExecution().optimizedPlan().toString()
+        assert "Window" in plan
+        assert "Join" not in plan
+        assert "InMemoryRelation" not in plan

@@ -1,5 +1,5 @@
-"""Engine resource lifecycle: per-query materializations are pinned and
-released on the next query (persisted pattern scans, anomaly aggregates)."""
+"""Engine resource lifecycle: persisted pattern scans are pinned and
+released on the next query; anomaly queries persist nothing."""
 from repro.core.engine import AIQLEngine
 
 AT = '(at "04/10/2018")\n'
@@ -20,9 +20,10 @@ class TestPinning:
         assert len(eng._pinned) == 2
 
     def test_anomaly_pins_aggregate(self, spark, tiny):
+        # History is a window over the aggregate: nothing is persisted.
         eng = AIQLEngine(spark, events=tiny)
         eng.execute(ANOMALY).count()
-        assert len(eng._pinned) == 1
+        assert eng._pinned == []
 
     def test_anomaly_without_history_pins_nothing(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)
@@ -36,8 +37,9 @@ class TestPinning:
         eng.execute(TWO_PATTERN).count()
         first = list(eng._pinned)
         eng.execute(ANOMALY).count()
-        assert all(df not in eng._pinned for df in first)
-        assert len(eng._pinned) == 1
+        assert len(first) == 2
+        assert all(not df.is_cached for df in first)
+        assert eng._pinned == []
 
     def test_single_pattern_pins_nothing(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)

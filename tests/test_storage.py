@@ -31,6 +31,16 @@ class TestRoundtrip:
         assert all(r["o_name"] == "/db/backup1.dmp" for r in got
                    if r["op"] == "write")
 
+    def test_rewrite_after_read_returns_new_rows(self, spark, tiny, tmp_path):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        assert s.events_partitioned().count() == tiny.count()
+        agent2 = tiny.filter("agentid = 2")
+        s.write(agent2)
+        got = s.events_partitioned()
+        assert {r["agentid"] for r in got.select("agentid").collect()} == {2}
+        assert got.count() == agent2.count()
+
 
 class TestPruning:
     def test_agent_filter_rows(self, store, events_pdf):
