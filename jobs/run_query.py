@@ -2,7 +2,11 @@
 
 Usage: python jobs/run_query.py --store /tmp/aiql_store --query q.aiql
        python jobs/run_query.py --store /tmp/aiql_store --name q05_exfil_chain
-       ... [--baseline]
+       ... [--baseline] [--explain]
+
+``--explain`` prints the result's formatted physical plan first: each
+pattern scan's PushedFilters, PartitionFilters and ReadSchema show what the
+engine pushed into Parquet and which columns it reads.
 """
 from __future__ import annotations
 
@@ -34,6 +38,8 @@ def main() -> None:
     src.add_argument("--name", help="workload query name (qNN_...)")
     ap.add_argument("--baseline", action="store_true",
                     help="run the big-SQL baseline instead of the engine")
+    ap.add_argument("--explain", action="store_true",
+                    help="print explain('formatted') of the result before it")
     a = ap.parse_args()
     if a.query:
         text = open(a.query).read()
@@ -41,7 +47,10 @@ def main() -> None:
         from repro.workload.queries import query_by_name
         text = query_by_name(a.name).aiql
     spark = get_spark("aiql-run-query")
-    run(spark, a.store, text, a.baseline).show(100, truncate=False)
+    df = run(spark, a.store, text, a.baseline)
+    if a.explain:
+        df.explain("formatted")
+    df.show(100, truncate=False)
     spark.stop()
 
 

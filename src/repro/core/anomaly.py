@@ -11,21 +11,18 @@ history depths share one shuffle of the (small) per-window aggregate. If
 that window has no events, or a group column is NULL, the reference is NULL
 and the ``having`` comparison rejects the row — identically in the
 synthesized self-join SQL (``sqlgen.py``), which the DuckDB oracle verifies.
+
+Every clause is SQL text from ``repro.core.expr`` (and the window bounds
+below, which ``sqlgen`` shares), passed to the JVM one call per clause.
 """
 from __future__ import annotations
 
-from functools import reduce
-
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import DEFAULT_ATTR, Analysis
 from repro.core.ast import AttrRef, FuncCall
-from repro.core.compiler import pattern_filter
-from repro.core.expr import to_column
-
-_AGG_FN = {"avg": F.avg, "sum": F.sum, "count": F.count,
-           "min": F.min, "max": F.max}
+from repro.core.expr import to_sql, where_sql
 
 
 def group_cols(ana: Analysis) -> list[str]:
@@ -51,33 +48,42 @@ def group_cols(ana: Analysis) -> list[str]:
     return cols
 
 
-def agg_expr(name: str, fc: FuncCall, ana: Analysis):
-    """One aggregate return item → a Spark aggregate expression."""
+def agg_sql(fc: FuncCall, ana: Analysis) -> str:
+    """One aggregate return item → SQL aggregate text (shared with
+    ``sqlgen``)."""
     if not fc.args:
         if fc.name != "count":
             raise ValueError(f"{fc.name}() needs an argument")
-        return F.count(F.lit(1)).alias(name)
+        return "COUNT(*)"
     ref = fc.args[0]
     assert isinstance(ref, AttrRef)
     _, col, _ = ana.resolve_ref(ref)
-    return _AGG_FN[fc.name](F.col(col)).alias(name)
+    return f"{fc.name.upper()}({col})"
 
 
-def window_bounds(ana: Analysis):
-    """(t0, window, step, kmax): window k covers [t0 + k*step, +window)."""
+def window_ids(ana: Analysis) -> tuple[str, str]:
+    """SQL text for the first and last window id containing an event at
+    ``ts``: window k covers [t0 + k*step, t0 + k*step + window), and ids
+    run from 0 to the last window starting inside the query's range."""
     q = ana.query
     t0, t1 = q.time_range
-    kmax = (t1 - t0 - 1) // q.step_ms
-    return t0, q.window_ms, q.step_ms, kmax
+    w, s = q.window_ms, q.step_ms
+    kmax = (t1 - t0 - 1) // s
+    lo = (f"GREATEST(CAST(0 AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
+    hi = (f"LEAST(CAST({kmax} AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0}) / {s}) AS BIGINT))")
+    return lo, hi
 
 
-def history(name: str, k: int, gcols: list[str]) -> Column:
+def history_sql(name: str, k: int, gcols: list[str]) -> str:
     """``name[k]``: the group's aggregate exactly k *windows* (not rows)
     earlier — the aggregate has at most one row per window and group. NULL
     group keys get NULL history, as the SQL self-join's ``h.c = a.c``."""
-    w = Window.partitionBy(*gcols).orderBy("wid").rangeBetween(-k, -k)
-    keyed = reduce(Column.__and__, [F.col(c).isNotNull() for c in gcols], F.lit(True))
-    return F.when(keyed, F.first(name).over(w))
+    keyed = " AND ".join(f"{c} IS NOT NULL" for c in gcols) or "TRUE"
+    part = f"PARTITION BY {', '.join(gcols)} " if gcols else ""
+    return (f"CASE WHEN {keyed} THEN first(`{name}`) OVER ({part}ORDER BY wid "
+            f"RANGE BETWEEN {k} PRECEDING AND {k} PRECEDING) END")
 
 
 def run(events: DataFrame, ana: Analysis) -> DataFrame:
@@ -85,41 +91,22 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
     event DataFrame."""
     q = ana.query
     alias = q.events[0].alias
-    t0, w, s, kmax = window_bounds(ana)
-    df = events.filter(pattern_filter(ana.pattern_preds[alias]))
-    lo = F.greatest(
-        F.lit(0).cast("long"),
-        (F.floor((F.col("ts") - F.lit(t0) - F.lit(w)) / F.lit(s)) + 1).cast("long"),
-    )
-    hi = F.least(
-        F.lit(kmax).cast("long"),
-        F.floor((F.col("ts") - F.lit(t0)) / F.lit(s)).cast("long"),
-    )
-    df = (
-        df.withColumn("__lo", lo)
-        .withColumn("__hi", hi)
-        .filter(F.col("__lo") <= F.col("__hi"))
-        .withColumn("wid", F.explode(F.sequence(F.col("__lo"), F.col("__hi"))))
-    )
+    lo, hi = window_ids(ana)
     gcols = group_cols(ana)
-    aggs = [agg_expr(n, fc, ana) for n, fc in ana.agg_aliases.items()]
-    agg = df.groupBy(*(["wid"] + gcols)).agg(*aggs)
-    agg = agg.withColumns({f"__h{k}__{n}": history(n, k, gcols)
-                           for k in ana.hist_ks for n in ana.agg_aliases})
+    df = (events.where(f"{where_sql(ana.pattern_preds[alias])} AND {lo} <= {hi}")
+          .selectExpr("*", f"explode(sequence({lo}, {hi})) AS wid"))
+    aggs = [F.expr(f"{agg_sql(fc, ana)} AS `{n}`") for n, fc in ana.agg_aliases.items()]
+    agg = df.groupBy("wid", *gcols).agg(*aggs)
+    if ana.hist_ks:
+        agg = agg.selectExpr("*", *[f"{history_sql(n, k, gcols)} AS `__h{k}__{n}`"
+                                    for k in ana.hist_ks for n in ana.agg_aliases])
     if q.having is not None:
-        cond = to_column(
-            q.having,
-            resolve_name=lambda n: F.col(n),
-            resolve_hist=lambda n, k: F.col(f"__h{k}__{n}"),
-        )
-        agg = agg.filter(cond)
-
+        agg = agg.where(to_sql(q.having,
+                               resolve_name=lambda n: f"`{n}`",
+                               resolve_hist=lambda n, k: f"`__h{k}__{n}`"))
     out_cols = []
     for it, name in zip(q.return_items, ana.return_names):
-        if isinstance(it.expr, FuncCall):
-            out_cols.append(F.col(name))
-        else:
-            _, c, _ = ana.resolve_ref(it.expr)
-            out_cols.append(F.col(c).alias(name))
-    out = agg.select(out_cols)
+        c = name if isinstance(it.expr, FuncCall) else ana.resolve_ref(it.expr)[1]
+        out_cols.append(f"`{c}` AS `{name}`")
+    out = agg.selectExpr(*out_cols)
     return out.distinct() if q.distinct else out

@@ -2,65 +2,45 @@
 
 The engine does *not* hand Catalyst one big join soup (that is the baseline,
 ``baseline.py``). Instead — per paper §2.3 — it synthesizes one data query
-per event pattern (a pruned, prefixed scan) and folds them into a left-deep
-join in the order chosen by the pruning-power scheduler, broadcasting sides
-it has measured to be small.
+per event pattern (a pruned scan projected to the columns the query uses
+from it) and folds them into a left-deep join in the order chosen by the
+pruning-power scheduler, broadcasting sides it has measured to be small.
+
+Every clause is built from the SQL text of ``repro.core.expr`` and reaches
+the JVM as one call (``where``, ``selectExpr``, ``F.expr``), not as a tree
+of Column calls, each of which is a Py4J round trip.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.analyzer import Analysis, OrGroup, Pred
+from repro.core.analyzer import Analysis
+from repro.core.expr import temporal_sql, where_sql
 
 
-def pred_to_column(p) -> Column:
-    """One lowered predicate → a Spark filter ``Column`` over raw columns."""
-    if isinstance(p, OrGroup):
-        out = None
-        for sub in p.preds:
-            c = pred_to_column(sub)
-            out = c if out is None else (out | c)
-        return out
-    assert isinstance(p, Pred)
-    c = F.col(p.col)
-    return {
-        "=": lambda: c == F.lit(p.value),
-        "!=": lambda: c != F.lit(p.value),
-        "<": lambda: c < F.lit(p.value),
-        "<=": lambda: c <= F.lit(p.value),
-        ">": lambda: c > F.lit(p.value),
-        ">=": lambda: c >= F.lit(p.value),
-        "like": lambda: c.like(p.value),
-        "not like": lambda: ~c.like(p.value),
-    }[p.op]()
-
-
-def pattern_filter(preds: list) -> Column:
-    """AND of all lowered predicates of one event pattern."""
-    out = None
-    for p in preds:
-        c = pred_to_column(p)
-        out = c if out is None else (out & c)
-    return out if out is not None else F.lit(True)
+def pattern_cols(ana: Analysis, alias: str) -> list[str]:
+    """The columns the query reads from pattern ``alias``: its uid columns
+    in shared-variable joins, ``ts`` if it is temporally constrained, and
+    its return items."""
+    cols: list[str] = []
+    for a1, c1, a2, c2 in ana.join_conds:
+        cols += [c for a, c in ((a1, c1), (a2, c2)) if a == alias]
+    if any(alias in (tc.left, tc.right) for tc in ana.query.temporal):
+        cols.append("ts")
+    for it in ana.query.return_items:
+        a, c, _ = ana.resolve_ref(it.expr)
+        if a == alias:
+            cols.append(c)
+    return list(dict.fromkeys(cols))
 
 
 def pattern_df(events: DataFrame, ana: Analysis, alias: str) -> DataFrame:
-    """The synthesized data query for one event pattern: pruned scan with
-    every column prefixed ``<alias>__`` so N patterns can join without
-    name collisions."""
-    df = events.filter(pattern_filter(ana.pattern_preds[alias]))
-    return df.select([F.col(c).alias(f"{alias}__{c}") for c in df.columns])
-
-
-def temporal_condition(tc) -> Column:
-    """``with a before b [within d]`` → timestamp predicate over prefixed
-    columns."""
-    l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
-    cond = F.col(f"{l}__ts") < F.col(f"{r}__ts")
-    if tc.within_ms is not None:
-        cond = cond & (F.col(f"{r}__ts") - F.col(f"{l}__ts") <= F.lit(tc.within_ms))
-    return cond
+    """The synthesized data query for one event pattern: pruned scan
+    projected to :func:`pattern_cols`, each prefixed ``<alias>__`` so N
+    patterns can join without name collisions."""
+    return (events.where(where_sql(ana.pattern_preds[alias]))
+            .selectExpr(*[f"{c} AS {alias}__{c}" for c in pattern_cols(ana, alias)]))
 
 
 def join_multievent(
@@ -84,21 +64,18 @@ def join_multievent(
         if alias in broadcast:
             nxt = F.broadcast(nxt)
         placed.add(alias)
-        conds: list[Column] = []
+        conds: list[str] = []
         for jc in list(pending_joins):
             a1, c1, a2, c2 = jc
             if a1 in placed and a2 in placed:
-                conds.append(F.col(f"{a1}__{c1}") == F.col(f"{a2}__{c2}"))
+                conds.append(f"{a1}__{c1} = {a2}__{c2}")
                 pending_joins.remove(jc)
         for tc in list(pending_temporal):
             if tc.left in placed and tc.right in placed:
-                conds.append(temporal_condition(tc))
+                conds += temporal_sql(tc, "__")
                 pending_temporal.remove(tc)
         if conds:
-            on = conds[0]
-            for c in conds[1:]:
-                on = on & c
-            joined = joined.join(nxt, on=on, how="inner")
+            joined = joined.join(nxt, on=F.expr(" AND ".join(conds)), how="inner")
         else:
             joined = joined.crossJoin(nxt)
     assert not pending_joins and not pending_temporal
@@ -111,6 +88,6 @@ def project_return(joined: DataFrame, ana: Analysis) -> DataFrame:
     cols = []
     for it, name in zip(ana.query.return_items, ana.return_names):
         alias, col, _ = ana.resolve_ref(it.expr)
-        cols.append(F.col(f"{alias}__{col}").alias(name))
-    out = joined.select(cols)
+        cols.append(f"{alias}__{col} AS `{name}`")
+    out = joined.selectExpr(*cols)
     return out.distinct() if ana.query.distinct else out

@@ -1,18 +1,24 @@
 """The AIQL query engine facade.
 
 ``execute`` runs the full pipeline: parse → dependency compilation →
-semantic analysis → (multievent: per-pattern data queries + pruning-power
-scheduling + left-deep join with measured broadcasts | anomaly: one-pass
-sliding-window engine, which persists nothing). ``plan`` exposes the
-scheduling decision for inspection and tests.
+semantic analysis (:func:`analyze_text`, shared with the baseline) →
+(multievent: per-pattern data queries + pruning-power scheduling +
+left-deep join with measured broadcasts | anomaly: one-pass sliding-window
+engine, which persists nothing). ``plan`` exposes the scheduling decision
+for inspection and tests.
 
 Per paper §2.3 the engine "synthesizes a SQL data query for every event
 pattern and schedules the execution of these data queries": each pattern's
-pruned scan is executed once and **persisted**, the probe that measures its
-pruning power doubles as its materialization, and the join then combines
-the already-materialized (usually tiny) per-pattern results — never
-re-scanning the event table the way the one-big-SQL baseline must. The
-persisted scans are pinned until the next ``execute`` or ``plan`` call.
+data query is one Spark SQL ``where`` over the event table plus one
+``selectExpr`` keeping only the columns the query uses from it. It is
+executed once and **persisted**; the probe that measures its pruning power
+doubles as its materialization, and the join then combines the
+already-materialized (usually tiny) per-pattern results — never re-scanning
+the event table the way the one-big-SQL baseline must. When any pattern
+probes 0 rows the inner join is empty, and the result is the projection
+under ``limit(0)``, which Catalyst folds to an empty relation without
+running the join. The persisted scans are pinned until the next
+``execute`` or ``plan`` call.
 
 The engine reads either an in-memory DataFrame (``events=``, tests) or the
 partitioned store (``store=``, benchmarks/jobs) — with a store, the query's
@@ -32,6 +38,11 @@ from repro.core.compiler import join_multievent, pattern_df, project_return
 from repro.core.dependency import to_multievent
 from repro.core.parser import parse
 from repro.core.scheduler import build_adjacency, order_patterns
+
+
+def analyze_text(text: str) -> Analysis:
+    """parse → dependency compilation → semantic analysis (no execution)."""
+    return analyze(to_multievent(parse(text)))
 
 
 @dataclass
@@ -69,10 +80,6 @@ class AIQLEngine:
         self._pinned: list[DataFrame] = []
 
     # ------------------------------------------------------------------
-    def analyze(self, text: str) -> Analysis:
-        """Front half of the pipeline (no execution)."""
-        return analyze(to_multievent(parse(text)))
-
     def _source(self, ana: Analysis) -> DataFrame:
         q = ana.query
         if self.store is not None:
@@ -112,7 +119,7 @@ class AIQLEngine:
 
     def plan(self, text: str) -> MultieventPlan:
         """Probe per-pattern cardinalities and pick the join order."""
-        ana = self.analyze(text)
+        ana = analyze_text(text)
         if ana.query.mode != "multievent":
             raise ValueError("plan() applies to multievent queries")
         self._release()
@@ -122,10 +129,12 @@ class AIQLEngine:
     def execute(self, text: str) -> DataFrame:
         """Run an AIQL query, returning the result DataFrame with the
         output column names the query's return clause defines."""
-        ana = self.analyze(text)
+        ana = analyze_text(text)
         self._release()
         if ana.query.mode == "anomaly":
             return anomaly_mod.run(self._source(ana), ana)
         plan = self._plan_multievent(ana)
         joined = join_multievent(plan.dfs, ana, plan.order, plan.broadcast)
-        return project_return(joined, ana)
+        out = project_return(joined, ana)
+        # An inner join with an empty side is empty.
+        return out.limit(0) if 0 in plan.counts.values() else out

@@ -10,30 +10,22 @@ three roles:
 * the **correctness oracle** input executed by DuckDB,
 * the **conciseness** comparison corpus (Table B).
 
-Multievent SQL is dialect-portable; anomaly SQL differs only in the
-array-explosion idiom (Spark ``explode(sequence(...))`` vs DuckDB/PostgreSQL
-``unnest(generate_series(...))``).
+Predicates, window bounds and aggregates come from the same lowering the
+engine runs (``repro.core.expr``, ``repro.core.anomaly``). Dialects differ
+only in the array-explosion idiom (Spark ``explode(sequence(...))`` vs
+DuckDB/PostgreSQL ``unnest(generate_series(...))``) and in how string
+literals escape backslashes (``expr.sql_quote``).
 """
 from __future__ import annotations
 
-from repro.core.analyzer import Analysis, OrGroup, Pred
-from repro.core.anomaly import group_cols, window_bounds
-from repro.core.ast import AttrRef, FuncCall
-from repro.core.expr import sql_quote, to_sql
-
-_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-        "like": "LIKE", "not like": "NOT LIKE"}
-
-
-def _pred_sql(p, prefix: str) -> str:
-    if isinstance(p, OrGroup):
-        return "(" + " OR ".join(_pred_sql(s, prefix) for s in p.preds) + ")"
-    assert isinstance(p, Pred)
-    return f"{prefix}{p.col} {_OPS[p.op]} {sql_quote(p.value)}"
+from repro.core.analyzer import Analysis
+from repro.core.anomaly import agg_sql, group_cols, window_ids
+from repro.core.ast import FuncCall
+from repro.core.expr import DIALECTS, temporal_sql, to_sql, where_sql
 
 
 # ------------------------------------------------------------- multievent
-def multievent_sql(ana: Analysis, table: str = "events") -> str:
+def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
     """The flat self-join formulation an analyst would hand-write: one
     ``events`` scan per event pattern, explicit JOIN ... ON clauses carrying
     the entity and temporal relationships, and every pattern constraint
@@ -53,11 +45,7 @@ def multievent_sql(ana: Analysis, table: str = "events") -> str:
         later = a2 if pos[a2] > pos[a1] else a1
         on[later].append(f"{a1}.{c1} = {a2}.{c2}")
     for tc in q.temporal:
-        l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
-        later = max(tc.left, tc.right, key=pos.get)
-        on[later].append(f"{l}.ts < {r}.ts")
-        if tc.within_ms is not None:
-            on[later].append(f"{r}.ts - {l}.ts <= {tc.within_ms}")
+        on[max(tc.left, tc.right, key=pos.get)] += temporal_sql(tc)
 
     frm = [f"FROM {table} {aliases[0]}"]
     for a in aliases[1:]:
@@ -66,14 +54,13 @@ def multievent_sql(ana: Analysis, table: str = "events") -> str:
         else:
             frm.append(f"CROSS JOIN {table} {a}")
 
-    where: list[str] = []
-    for a in aliases:
-        where += [_pred_sql(p, f"{a}.") for p in ana.pattern_preds[a]]
+    where = " AND ".join(where_sql(ana.pattern_preds[a], f"{a}.", dialect)
+                         for a in aliases)
     distinct = "DISTINCT " if q.distinct else ""
     return (
         f"SELECT {distinct}{', '.join(sel)}\n"
         + "\n".join(frm)
-        + f"\nWHERE {' AND '.join(where)}"
+        + f"\nWHERE {where}"
     )
 
 
@@ -81,31 +68,19 @@ def multievent_sql(ana: Analysis, table: str = "events") -> str:
 def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
     """Sliding windows + historical aggregates as explicit SQL: window-id
     explosion, GROUP BY, and one self LEFT JOIN per history depth."""
-    if dialect not in ("spark", "duckdb", "postgres"):
+    if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
     q = ana.query
     alias = q.events[0].alias
-    t0, w, s, kmax = window_bounds(ana)
-    preds = " AND ".join(_pred_sql(p, "") for p in ana.pattern_preds[alias])
-    lo = (f"GREATEST(CAST(0 AS BIGINT), "
-          f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
-    hi = (f"LEAST(CAST({kmax} AS BIGINT), "
-          f"CAST(FLOOR((ts - {t0}) / {s}) AS BIGINT))")
+    preds = where_sql(ana.pattern_preds[alias], "", dialect)
+    lo, hi = window_ids(ana)
     if dialect == "spark":
         expl = f"explode(sequence({lo}, {hi}))"
     else:
         expl = f"unnest(generate_series({lo}, {hi}))"
     gcols = group_cols(ana)
     gsel = "".join(f"{c}, " for c in gcols)
-    aggs = []
-    for name, fc in ana.agg_aliases.items():
-        if not fc.args:
-            aggs.append(f"COUNT(*) AS {name}")
-        else:
-            arg = fc.args[0]
-            assert isinstance(arg, AttrRef)
-            _, c, _ = ana.resolve_ref(arg)
-            aggs.append(f"{fc.name.upper()}({c}) AS {name}")
+    aggs = [f"{agg_sql(fc, ana)} AS {name}" for name, fc in ana.agg_aliases.items()]
     joins = []
     for k in ana.hist_ks:
         on = [f"h{k}.{c} = a.{c}" for c in gcols] + [f"h{k}.wid = a.wid - {k}"]
@@ -123,6 +98,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
             q.having,
             resolve_name=lambda n: f"a.{n}",
             resolve_hist=lambda n, k: f"h{k}.{n}",
+            dialect=dialect,
         )
         having = f"\nWHERE {cond}"
     distinct = "DISTINCT " if q.distinct else ""
@@ -144,4 +120,4 @@ def equivalent_sql(ana: Analysis, dialect: str = "spark", table: str = "events")
     """The one-big-SQL equivalent of any analyzed query."""
     if ana.query.mode == "anomaly":
         return anomaly_sql(ana, dialect, table)
-    return multievent_sql(ana, table)
+    return multievent_sql(ana, dialect, table)

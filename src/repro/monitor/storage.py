@@ -17,13 +17,15 @@ documents this substitution.)
 """
 from __future__ import annotations
 
+from datetime import date, timedelta
 from pathlib import Path
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.monitor.schema import event_spark_schema
+
+_DAY_MS = 86_400_000
+_EPOCH = date(1970, 1, 1)
 
 
 class EventStore:
@@ -84,19 +86,12 @@ class EventStore:
             # partition column as the schema's string, not DATE.
             self._partitioned = (self.spark.read.schema(event_spark_schema())
                                  .parquet(self.partitioned_path))
-        df = self._partitioned
+        conds = []
         if agentid is not None:
-            df = df.filter(F.col("agentid") == agentid)
+            conds.append(f"agentid = {int(agentid)}")
         if time_range is not None:
             lo, hi = time_range
-            days = [
-                d.strftime("%Y-%m-%d")
-                for d in pd.date_range(
-                    pd.Timestamp(lo, unit="ms"),
-                    pd.Timestamp(hi - 1, unit="ms"),
-                    freq="D",
-                    normalize=True,
-                )
-            ]
-            df = df.filter(F.col("day").isin(days))
-        return df
+            days = ", ".join(f"'{_EPOCH + timedelta(days=d)}'"
+                             for d in range(lo // _DAY_MS, (hi - 1) // _DAY_MS + 1))
+            conds.append(f"day IN ({days})")
+        return self._partitioned.where(" AND ".join(conds)) if conds else self._partitioned

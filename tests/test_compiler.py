@@ -1,5 +1,5 @@
-"""Pattern-compiler tests: predicate columns, prefixed scans, temporal
-conditions, projection."""
+"""Pattern-compiler tests: predicate text, projected prefixed scans,
+temporal conditions, projection."""
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,12 +7,11 @@ from repro.core.analyzer import OrGroup, Pred, analyze
 from repro.core.ast import TemporalConstraint
 from repro.core.compiler import (
     join_multievent,
+    pattern_cols,
     pattern_df,
-    pattern_filter,
-    pred_to_column,
     project_return,
-    temporal_condition,
 )
+from repro.core.expr import pred_sql, temporal_sql, where_sql
 from repro.core.parser import parse
 
 DAY0 = 1523318400000
@@ -23,21 +22,24 @@ def ana(text):
 
 
 class TestPredToColumn:
+    """The predicate text the engine filters with, evaluated by ``where``
+    against the same filter written with Spark Columns."""
+
     @pytest.fixture(scope="class")
     def df(self, spark, tiny):
         return tiny
 
     def test_eq(self, df):
-        assert df.filter(pred_to_column(Pred("s_name", "=", "bash"))).count() \
+        assert df.where(pred_sql(Pred("s_name", "=", "bash"))).count() \
             == df.filter(F.col("s_name") == "bash").count()
 
     def test_like(self, df):
-        n = df.filter(pred_to_column(Pred("o_name", "like", "/tmp/%"))).count()
+        n = df.where(pred_sql(Pred("o_name", "like", "/tmp/%"))).count()
         assert n == df.filter(F.col("o_name").like("/tmp/%")).count() > 0
 
     def test_not_like_excludes_nulls(self, df):
         """NOT LIKE keeps SQL three-valued logic: NULL o_name rows drop."""
-        n = df.filter(pred_to_column(Pred("o_name", "not like", "/tmp/%"))).count()
+        n = df.where(pred_sql(Pred("o_name", "not like", "/tmp/%"))).count()
         manual = df.filter(F.col("o_name").isNotNull()
                            & ~F.col("o_name").like("/tmp/%")).count()
         assert n == manual
@@ -47,17 +49,17 @@ class TestPredToColumn:
         ("!=", "__ne__"),
     ])
     def test_ordering_ops(self, df, op, cnt_op):
-        got = df.filter(pred_to_column(Pred("amount", op, 100))).count()
+        got = df.where(pred_sql(Pred("amount", op, 100))).count()
         want = df.filter(getattr(F.col("amount"), cnt_op)(100)).count()
         assert got == want
 
     def test_or_group(self, df):
         og = OrGroup((Pred("s_name", "=", "bash"), Pred("s_name", "=", "curl")))
-        assert df.filter(pred_to_column(og)).count() == \
+        assert df.where(pred_sql(og)).count() == \
             df.filter(F.col("s_name").isin("bash", "curl")).count()
 
     def test_empty_filter_is_true(self, df):
-        assert df.filter(pattern_filter([])).count() == df.count()
+        assert df.where(where_sql([])).count() == df.count()
 
 
 class TestPatternDf:
@@ -74,29 +76,49 @@ class TestPatternDf:
         assert len(rows) == 1  # only the t+500 bash file read
 
     def test_etype_op_pruning(self, tiny):
-        a = ana('proc p start proc q as e1\nreturn p')
+        a = ana('proc p start proc q as e1\nreturn p, e1.op as op')
         rows = pattern_df(tiny, a, "e1").collect()
         assert {r["e1__op"] for r in rows} == {"start"}
+        assert len(rows) == tiny.filter("etype = 'process' AND op = 'start'").count()
+
+    def test_projects_only_used_columns(self, tiny):
+        a = ana('proc p start proc q as e1\n'
+                'proc q read file f as e2\n'
+                'with e1 before e2\n'
+                'return p, f, e2.amount as amt')
+        assert pattern_cols(a, "e1") == ["o_uid", "ts", "s_name"]
+        assert pattern_cols(a, "e2") == ["s_uid", "ts", "o_name", "amount"]
+        assert pattern_df(tiny, a, "e2").columns == [
+            "e2__s_uid", "e2__ts", "e2__o_name", "e2__amount"]
+
+    def test_same_alias_join_keeps_both_uid_columns(self):
+        # p is both subject and object of e1: (e1, s_uid, e1, o_uid).
+        a = ana('proc p start proc p as e1\n'
+                'proc p read file f as e2\nreturn p')
+        assert pattern_cols(a, "e1") == ["s_uid", "o_uid", "s_name"]
+        assert pattern_cols(a, "e2") == ["s_uid"]
 
 
 class TestTemporalCondition:
+    """``temporal_sql`` over prefixed columns, evaluated by ``where``."""
+
     def test_before(self, spark):
         df = spark.createDataFrame([{"a__ts": 1, "b__ts": 2},
                                     {"a__ts": 3, "b__ts": 2}])
         tc = TemporalConstraint("a", "before", "b")
-        assert df.filter(temporal_condition(tc)).count() == 1
+        assert df.where(" AND ".join(temporal_sql(tc, "__"))).count() == 1
 
     def test_after_swaps(self, spark):
         df = spark.createDataFrame([{"a__ts": 1, "b__ts": 2},
                                     {"a__ts": 3, "b__ts": 2}])
         tc = TemporalConstraint("a", "after", "b")
-        assert df.filter(temporal_condition(tc)).count() == 1
+        assert df.where(" AND ".join(temporal_sql(tc, "__"))).count() == 1
 
     def test_within(self, spark):
         df = spark.createDataFrame([{"a__ts": 0, "b__ts": 500},
                                     {"a__ts": 0, "b__ts": 5000}])
         tc = TemporalConstraint("a", "before", "b", within_ms=1000)
-        got = df.filter(temporal_condition(tc)).collect()
+        got = df.where(" AND ".join(temporal_sql(tc, "__"))).collect()
         assert len(got) == 1 and got[0]["b__ts"] == 500
 
 

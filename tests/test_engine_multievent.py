@@ -2,9 +2,10 @@
 cross-checked against the DuckDB oracle where it adds signal."""
 import pytest
 
-from repro.core.baseline import oracle_sql
+from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
-from tests.conftest import DAY0, assert_same_rows, run_duckdb
+from repro.monitor.schema import event_spark_schema
+from tests.conftest import DAY0, assert_same_rows, file_ev, make_events, run_duckdb
 
 AT = '(at "04/10/2018")\n'
 
@@ -150,12 +151,47 @@ class TestOracleAgreement:
         'agentid = 1\nproc p write ip i as e1\nreturn p, e1.amount as amt',
         'proc a start proc b as e1\nproc b read file f as e2\n'
         'with e1 before[1 hour] e2\nreturn a, b, f',
+        # e2 shares nothing and returns nothing: its scan keeps no column.
+        'proc a["bash"] read file f as e1\nproc b write file g as e2\nreturn a',
     ])
     def test_engine_matches_duckdb(self, tiny_engine, tiny_pdf, q):
         text = AT + q
         got = tiny_engine.execute(text).toPandas()
         want = run_duckdb(oracle_sql(text), events=tiny_pdf)
         assert_same_rows(got, want)
+
+
+class TestBackslashLiterals:
+    """A backslash in an AIQL string is a literal character for the engine,
+    the Spark baseline and DuckDB alike, in equality and in LIKE."""
+
+    @pytest.fixture(scope="class")
+    def win_pdf(self):
+        return make_events([
+            file_ev(1, DAY0 + 1_000, "write", "w1", "cmd.exe", "C:\\temp\\x.exe"),
+            file_ev(1, DAY0 + 2_000, "write", "w1", "cmd.exe", "C:/temp/y.exe"),
+        ])
+
+    @pytest.mark.parametrize("filt", [r'"C:\\temp\\x.exe"', r'"C:\\temp%"'])
+    def test_engine_baseline_duckdb_agree(self, spark, win_pdf, filt):
+        text = AT + f'proc p write file f[{filt}] as e1\nreturn p, f'
+        events = spark.createDataFrame(win_pdf, schema=event_spark_schema())
+        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        assert list(want["f"]) == ["C:\\temp\\x.exe"]
+        assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), want)
+        assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
+
+
+class TestEmptyPattern:
+    Q = (AT + 'proc p["nosuch"] read file f as e1\n'
+              'proc q write file f as e2\nreturn p, q, f')
+
+    def test_empty_pattern_skips_join(self, tiny_engine, tiny_pdf):
+        out = tiny_engine.execute(self.Q)
+        assert out.columns == ["p", "q", "f"]
+        assert out.count() == 0
+        assert "Join" not in out._jdf.queryExecution().executedPlan().toString()
+        assert_same_rows(out.toPandas(), run_duckdb(oracle_sql(self.Q), events=tiny_pdf))
 
 
 class TestPlanAndScheduling:

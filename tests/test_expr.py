@@ -1,20 +1,21 @@
-"""Expression compilation tests — Spark Columns and SQL text."""
+"""Expression lowering tests — SQL text, and that text evaluated by Spark."""
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.analyzer import Pred
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
-from repro.core.expr import sql_quote, to_column, to_sql
+from repro.core.expr import pred_sql, sql_quote, to_sql
 
-NAME = lambda n: F.col(n)  # noqa: E731
-HIST = lambda n, k: F.col(f"h{k}_{n}")  # noqa: E731
+NAME = lambda n: f"`{n}`"  # noqa: E731
+HIST = lambda n, k: f"`h{k}_{n}`"  # noqa: E731
 SNAME = lambda n: f"a.{n}"  # noqa: E731
 SHIST = lambda n, k: f"h{k}.{n}"  # noqa: E731
 
 
 def ev(spark, e, **row):
-    """Evaluate expression e against a single-row DataFrame."""
+    """Evaluate expression e's Spark SQL text against a single-row DataFrame."""
     df = spark.createDataFrame([row])
-    return df.select(to_column(e, NAME, HIST).alias("v")).collect()[0]["v"]
+    return df.select(F.expr(to_sql(e, NAME, HIST)).alias("v")).collect()[0]["v"]
 
 
 class TestSqlQuote:
@@ -29,6 +30,22 @@ class TestSqlQuote:
 
     def test_float(self):
         assert sql_quote(1.5) == "1.5"
+
+    def test_spark_doubles_backslash(self):
+        assert sql_quote("C:\\t", "spark") == "'C:\\\\t'"
+
+    @pytest.mark.parametrize("dialect", ["duckdb", "postgres"])
+    def test_other_dialects_keep_backslash(self, dialect):
+        assert sql_quote("C:\\t", dialect) == "'C:\\t'"
+
+    def test_spark_like_doubles_backslash_again(self):
+        p = Pred("o_name", "like", "C:\\t%")
+        assert pred_sql(p) == "o_name LIKE 'C:\\\\\\\\t%'"
+        assert pred_sql(p, dialect="duckdb") == "o_name LIKE 'C:\\t%'"
+
+    def test_spark_reads_literal_back(self, spark):
+        v = "a\\b'c"
+        assert spark.range(1).select(F.expr(sql_quote(v))).first()[0] == v
 
 
 class TestToSql:
@@ -73,6 +90,8 @@ class TestToSql:
 
 
 class TestToColumn:
+    """``to_sql`` text evaluated by Spark through ``F.expr``."""
+
     def test_literal(self, spark):
         assert ev(spark, Literal(7), x=0) == 7
 
@@ -99,7 +118,7 @@ class TestToColumn:
     def test_hist_resolution(self, spark):
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
         df = spark.createDataFrame([{"x": 5, "h1_x": 3}])
-        got = df.select(to_column(e, NAME, HIST).alias("v")).collect()[0]["v"]
+        got = df.select(F.expr(to_sql(e, NAME, HIST)).alias("v")).collect()[0]["v"]
         assert got is True
 
     def test_null_comparison_is_null(self, spark):
@@ -107,4 +126,4 @@ class TestToColumn:
         documented amt[k] semantics)."""
         df = spark.createDataFrame([(5, None)], "x int, h1_x int")
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
-        assert df.filter(to_column(e, NAME, HIST)).count() == 0
+        assert df.where(to_sql(e, NAME, HIST)).count() == 0

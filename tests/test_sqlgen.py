@@ -2,7 +2,8 @@
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.baseline import analyze_text, oracle_sql
+from repro.core.baseline import oracle_sql
+from repro.core.engine import analyze_text
 from repro.core.parser import parse
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
 from tests.conftest import assert_same_rows, run_duckdb

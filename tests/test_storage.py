@@ -90,3 +90,26 @@ class TestEngineOverStore:
         b = {tuple(r) for r in engine.execute(text).collect()}
         assert a == b == {("cmd.exe", "osql.exe", "/db/backup1.dmp",
                            "sbblv.exe", "202.87.66.129")}
+
+
+class TestPatternScanPlan:
+    def test_pushdown_and_projection_survive(self, store):
+        """A pattern's data query keeps its predicates in PushedFilters,
+        the agent and day in PartitionFilters, and reads only the columns
+        it filters on or projects."""
+        from repro.core.compiler import pattern_df
+        from repro.core.engine import analyze_text
+        a = analyze_text('(at "04/10/2018")\nagentid = 5\n'
+                         'proc p["osql.exe"] write file f as e1\nreturn f')
+        src = store.events_partitioned(a.query.time_range, a.query.agentid)
+        # The scan's full metadata; the plan string abbreviates long values.
+        plan = pattern_df(src, a, "e1")._jdf.queryExecution().executedPlan()
+        meta = plan.collectLeaves().head().metadata()
+        pushed = meta.get("PushedFilters").get()
+        for f in ("EqualTo(etype,file)", "EqualTo(op,write)",
+                  "EqualTo(s_name,osql.exe)", "GreaterThanOrEqual(ts,", "LessThan(ts,"):
+            assert f in pushed
+        part = meta.get("PartitionFilters").get()
+        assert "agentid" in part and "2018-04-10" in part
+        schema = meta.get("ReadSchema").get()
+        assert schema == "struct<ts:bigint,etype:string,op:string,s_name:string,o_name:string>"
