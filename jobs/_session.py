@@ -1,36 +1,9 @@
-"""Shared SparkSession bootstrap for standalone jobs.
-
-Jobs are written as functions taking a SparkSession (testable with the
-pytest ``spark`` fixture); this module only supplies a session when a job
-runs under ``spark-submit`` / ``python jobs/<name>.py``.
-"""
-from __future__ import annotations
-
+"""Spark bootstrap for standalone jobs: puts ``src/`` on the path and
+re-exports :func:`repro.session.get_spark`."""
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-
-def get_spark(app: str):
-    # spark.driver.memory is read at JVM launch, not from SparkConf — it
-    # must be in PYSPARK_SUBMIT_ARGS before pyspark is imported, else the
-    # driver gets the 1g default and large Arrow uploads OOM.
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '32g')} "
-        "--conf spark.driver.host=127.0.0.1 pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
+from repro.session import get_spark  # noqa: E402,F401

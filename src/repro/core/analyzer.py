@@ -80,6 +80,14 @@ class OrGroup:
 
 
 @dataclass(frozen=True)
+class ColEq:
+    """Two columns of one event are equal — a variable that is both the
+    subject and the object of a pattern (``proc p start proc p``)."""
+    left: str
+    right: str
+
+
+@dataclass(frozen=True)
 class Occurrence:
     """One appearance of an entity variable inside an event pattern."""
     alias: str
@@ -97,8 +105,8 @@ class Analysis:
     etypes: dict = field(default_factory=dict)       # var -> entity kind
     occ: dict = field(default_factory=dict)          # var -> [Occurrence]
     event_etype: dict = field(default_factory=dict)  # alias -> event type
-    pattern_preds: dict = field(default_factory=dict)  # alias -> [Pred|OrGroup]
-    join_conds: list = field(default_factory=list)   # [(alias1,col1,alias2,col2)]
+    pattern_preds: dict = field(default_factory=dict)  # alias -> [Pred|OrGroup|ColEq]
+    join_conds: list = field(default_factory=list)   # cross-pattern [(a1,c1,a2,c2)]
     return_names: list = field(default_factory=list)  # output column names
     agg_aliases: dict = field(default_factory=dict)  # out name -> FuncCall
     hist_ks: list = field(default_factory=list)      # sorted history depths
@@ -234,6 +242,8 @@ def analyze(q: Query) -> Analysis:
                     f"{ana.etypes[ent.var]} and {ent.etype}"
                 )
             ana.etypes.setdefault(ent.var, ent.etype)
+            if role == "object" and ent.var == ev.subject.var:
+                continue  # same entity as the subject: a ColEq, not a join
             ana.occ.setdefault(ent.var, []).append(Occurrence(ev.alias, role))
 
     # --- per-pattern predicates (entity brackets + globals + structure)
@@ -249,6 +259,8 @@ def analyze(q: Query) -> Analysis:
             preds.append(Pred("agentid", "=", q.agentid))
         preds += _lower_entity_filters(ana, ev, ev.subject, "subject")
         preds += _lower_entity_filters(ana, ev, ev.object, "object")
+        if ev.object.var == ev.subject.var:
+            preds.append(ColEq("s_uid", "o_uid"))
         ana.pattern_preds[ev.alias] = preds
 
     # --- implicit attribute relationships: shared vars join on entity uid

@@ -25,7 +25,8 @@ def pattern_cols(ana: Analysis, alias: str) -> list[str]:
     its return items."""
     cols: list[str] = []
     for a1, c1, a2, c2 in ana.join_conds:
-        cols += [c for a, c in ((a1, c1), (a2, c2)) if a == alias]
+        if alias in (a1, a2):
+            cols.append(c1 if a1 == alias else c2)
     if any(alias in (tc.left, tc.right) for tc in ana.query.temporal):
         cols.append("ts")
     for it in ana.query.return_items:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.analyzer import OrGroup, Pred
+from repro.core.analyzer import ColEq, OrGroup, Pred
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
 
 DIALECTS = ("spark", "duckdb", "postgres")
@@ -35,9 +35,12 @@ def sql_quote(v, dialect: str = "spark") -> str:
 
 
 def pred_sql(p, prefix: str = "", dialect: str = "spark") -> str:
-    """One lowered predicate (``Pred`` or ``OrGroup``) over ``<prefix><col>``."""
+    """One lowered predicate (``Pred``, ``OrGroup`` or ``ColEq``) over
+    ``<prefix><col>``."""
     if isinstance(p, OrGroup):
         return "(" + " OR ".join(pred_sql(s, prefix, dialect) for s in p.preds) + ")"
+    if isinstance(p, ColEq):
+        return f"{prefix}{p.left} = {prefix}{p.right}"
     assert isinstance(p, Pred)
     v = p.value
     if dialect == "spark" and p.op in ("like", "not like"):

@@ -24,9 +24,8 @@ def build_adjacency(
     are related by a shared variable or a temporal constraint."""
     adj: dict[str, set[str]] = {a: set() for a in aliases}
     for a1, _, a2, _ in join_conds:
-        if a1 != a2:
-            adj[a1].add(a2)
-            adj[a2].add(a1)
+        adj[a1].add(a2)
+        adj[a2].add(a1)
     for tc in temporal:
         adj[tc.left].add(tc.right)
         adj[tc.right].add(tc.left)

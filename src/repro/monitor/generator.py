@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.monitor.schema import event_spark_schema
@@ -397,16 +398,15 @@ _ORDERED = ["eid", "agentid", "ts", "day", "etype", "op", "s_uid", "s_name",
             "o_srcport", "amount"]
 
 
-def to_arrow(cols: dict):
-    """Canonical columns → a schema-exact ``pyarrow.Table``.
+def to_arrow(data) -> pa.Table:
+    """Raw event rows → a schema-exact ``pyarrow.Table``: the only
+    finalization of events (see :func:`_canonical_columns` for ``data``).
 
-    The fast path to Spark: unicode arrays convert to Arrow strings in C,
-    never materializing per-row Python objects; ``""`` sentinels become
-    NULLs via a validity mask; NaN in the float arrays becomes NULL in the
-    nullable int columns.
+    Unicode arrays convert to Arrow strings in C, never materializing
+    per-row Python objects; ``""`` sentinels become NULLs via a validity
+    mask; NaN in the float arrays becomes NULL in the nullable int columns.
     """
-    import pyarrow as pa
-
+    cols = _canonical_columns(data)
     arrays = {
         "eid": pa.array(cols["eid"], type=pa.int64()),
         "agentid": pa.array(cols["agentid"], type=pa.int32()),
@@ -423,51 +423,17 @@ def to_arrow(cols: dict):
     return pa.table({c: arrays[c] for c in _ORDERED})
 
 
-def as_event_frame(data) -> pd.DataFrame:
-    """Finalize raw event rows into a schema-exact pandas frame (the
-    test/oracle path; use :func:`to_arrow` + Spark for large SF).
-
-    Sorts by timestamp, assigns time-ordered ``eid``, derives ``day``, and
-    casts every column to the dtype that maps onto the Spark/DuckDB schema
-    (nullable ints and strings → NULLs/None).
-    """
-    cols = _canonical_columns(data)
-    out = {}
-    for c in _ORDERED:
-        arr = cols[c]
-        if c in _STRING_COLS or c == "day":
-            obj = arr.astype(object)
-            if c in _NULLABLE_STRINGS:
-                obj[arr == ""] = None
-            out[c] = obj
-        elif c == "agentid":
-            out[c] = arr.astype(np.int32)
-        elif c in ("s_pid", "o_port", "o_srcport"):
-            out[c] = pd.Series(arr).astype("Int32")
-        elif c == "amount":
-            out[c] = pd.Series(arr).astype("Int64")
-        else:
-            out[c] = arr
-    return pd.DataFrame(out, copy=False)
-
-
-def gen_events_pdf(
+def gen_events_table(
     *, sf: float = 0.01, n_hosts: int = 10, seed: int = 0,
     start_day: str = "2018-04-10", days: int = 1, attack: bool = True,
-) -> pd.DataFrame:
-    """Full trace as a pandas frame (background + attack), schema-typed.
+) -> pa.Table:
+    """The trace (background + attack) as a schema-exact Arrow table.
 
     Deterministic in ``seed``; sorted by timestamp with ``eid`` assigned
-    after the sort so event ids are time-ordered.
+    after the sort so event ids are time-ordered. Generation stays
+    numpy-vectorized end to end (never pandas), so the SF 0.5 dataset
+    builds in tens of seconds.
     """
-    return as_event_frame(_raw_columns(
-        sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
-        attack=attack,
-    ))
-
-
-def _raw_columns(*, sf, n_hosts, seed, start_day, days, attack) -> dict:
-    """Background + attack as one dict of raw column arrays (unsorted)."""
     if n_hosts < 5 and attack:
         raise ValueError("the attack scenario spans hosts 1-5; need n_hosts >= 5")
     day0 = _day_start_ms(start_day)
@@ -493,20 +459,10 @@ def _raw_columns(*, sf, n_hosts, seed, start_day, days, attack) -> dict:
                     cols[c] = cols[c].astype("float64")
             merged[c] = np.concatenate([cols[c], a])
         cols = merged
-    return cols
+    return to_arrow(cols)
 
 
-def gen_events(
-    spark: SparkSession, *, sf: float = 0.01, n_hosts: int = 10, seed: int = 0,
-    start_day: str = "2018-04-10", days: int = 1, attack: bool = True,
-) -> DataFrame:
-    """Spark DataFrame of the trace, with the exact event schema.
-
-    Goes through Arrow (never pandas), so generation stays numpy-vectorized
-    end to end — the SF 0.5 benchmark dataset builds in tens of seconds.
-    """
-    tbl = to_arrow(_canonical_columns(_raw_columns(
-        sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
-        attack=attack,
-    )))
-    return spark.createDataFrame(tbl, schema=event_spark_schema())
+def gen_events(spark: SparkSession, **kw) -> DataFrame:
+    """Spark DataFrame of :func:`gen_events_table` (same keywords), with
+    the exact event schema."""
+    return spark.createDataFrame(gen_events_table(**kw), schema=event_spark_schema())

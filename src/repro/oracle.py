@@ -1,19 +1,31 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle: the one DuckDB runner and result canonicalizer.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``run_duckdb(sql, **tables)`` runs ``sql`` in DuckDB over ``tables``
+(Spark, pandas or Arrow; Spark inputs are collected via ``.toPandas()``).
+``assert_same_rows(got, expected)`` asserts two pandas results hold the
+same rows, whatever their column and row order. ``assert_equivalent``
+checks a Spark result against DuckDB running ``sql``. This catches wrong
+results from a rewritten plan or a custom operator — "it ran" is not "it
+is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+Alias every output column identically on both sides (Spark names
+``count(*)`` as ``count(1)``, DuckDB as ``count_star()``) and project to
+scalar columns — array/map/struct columns are not orderable so cannot be
+compared here.
 """
 import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
+
+
+def run_duckdb(sql: str, **tables) -> pd.DataFrame:
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+        return con.execute(sql).fetchdf()
+    finally:
+        con.close()
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,19 +37,13 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
-        expected = con.execute(sql).fetchdf()
-    finally:
-        con.close()
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
+def assert_same_rows(got: pd.DataFrame, expected: pd.DataFrame) -> None:
+    assert sorted(got.columns) == sorted(expected.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"
     )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )
+    pd.testing.assert_frame_equal(_canon(got), _canon(expected), check_dtype=False)
+
+
+def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+    assert_same_rows(spark_df.toPandas(), run_duckdb(sql, **tables))

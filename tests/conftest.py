@@ -7,26 +7,32 @@ Data tiers:
   (~20k events + injected attack), for integration/workload tests;
 * ``store`` — both on-disk layouts of the SF 0.001 trace.
 
-``run_duckdb`` executes oracle SQL over a pandas frame;
-``assert_same_rows`` canonicalizes and diffs two result frames.
+The pandas frames are a view of the generator's Arrow table
+(:func:`pandas_view`), so tests, DuckDB and Spark see one finalization.
 """
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
+import pyarrow as pa
 import pytest
 
-from repro.monitor.generator import as_event_frame, gen_events_pdf
+from repro.monitor.generator import gen_events_table, to_arrow
 from repro.monitor.schema import event_spark_schema
 from repro.monitor.storage import EventStore
 
 DAY0 = 1523318400000  # 2018-04-10 00:00:00 UTC
 
 
+def pandas_view(tbl: pa.Table) -> pd.DataFrame:
+    """An event table as pandas, integer columns nullable (``Int32``/``Int64``)."""
+    return tbl.to_pandas(types_mapper={pa.int32(): pd.Int32Dtype(),
+                                       pa.int64(): pd.Int64Dtype()}.get)
+
+
 def make_events(rows: list[dict]) -> pd.DataFrame:
     """Hand-crafted rows → schema-exact event frame. Each row needs at
     least agentid/ts/etype/op/s_uid/s_name; object columns default NULL."""
-    return as_event_frame(pd.DataFrame(rows))
+    return pandas_view(to_arrow(pd.DataFrame(rows)))
 
 
 def file_ev(agentid, ts, op, s_uid, s_name, path, amount=100):
@@ -76,7 +82,7 @@ def tiny(spark, tiny_pdf):
 
 @pytest.fixture(scope="session")
 def events_pdf() -> pd.DataFrame:
-    return gen_events_pdf(sf=0.001, seed=0)
+    return pandas_view(gen_events_table(sf=0.001, seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -101,25 +107,3 @@ def engine(spark, events):
 def tiny_engine(spark, tiny):
     from repro.core.engine import AIQLEngine
     return AIQLEngine(spark, events=tiny)
-
-
-def run_duckdb(sql: str, **tables) -> pd.DataFrame:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t)
-        return con.execute(sql).fetchdf()
-    finally:
-        con.close()
-
-
-def canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
-    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
-        pdf[c] = pdf[c].round(6)
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
-
-
-def assert_same_rows(a: pd.DataFrame, b: pd.DataFrame) -> None:
-    assert sorted(a.columns) == sorted(b.columns), (a.columns, b.columns)
-    pd.testing.assert_frame_equal(canon(a), canon(b), check_dtype=False)

@@ -1,7 +1,7 @@
 """Semantic-analysis unit tests — binding, roles, predicate lowering."""
 import pytest
 
-from repro.core.analyzer import AIQLSemanticError, OrGroup, Pred, analyze
+from repro.core.analyzer import AIQLSemanticError, ColEq, OrGroup, Pred, analyze
 from repro.core.dependency import to_multievent
 from repro.core.parser import parse
 
@@ -35,6 +35,11 @@ class TestBinding:
                 'proc r read file f as e3\nreturn p')
         assert a.join_conds == [("e1", "o_uid", "e2", "o_uid"),
                                 ("e2", "o_uid", "e3", "o_uid")]
+
+    def test_same_variable_in_one_pattern_is_a_predicate(self):
+        a = ana('proc p start proc p as e1\nproc p read file f as e2\nreturn p')
+        assert a.pattern_preds["e1"][-1] == ColEq("s_uid", "o_uid")
+        assert a.join_conds == [("e1", "s_uid", "e2", "s_uid")]
 
     def test_var_etype_conflict_raises(self):
         with pytest.raises(AIQLSemanticError, match="both"):

@@ -1,18 +1,12 @@
-"""The Arrow fast path (``gen_events``/``to_arrow``) must be row-identical
-to the pandas path (``gen_events_pdf``), and the flat CSV baseline layout
-must preserve rows and NULLs exactly."""
-import pandas as pd
+"""The generator's Arrow table (``gen_events_table``/``to_arrow``) reaches
+Spark intact, and the flat CSV baseline layout preserves rows and NULLs
+exactly."""
 import pytest
 
-from repro.monitor.generator import (
-    _canonical_columns,
-    _raw_columns,
-    gen_events,
-    gen_events_pdf,
-    to_arrow,
-)
+from repro.monitor.generator import gen_events, gen_events_table
 from repro.monitor.schema import event_spark_schema
-from tests.conftest import assert_same_rows
+from repro.oracle import assert_same_rows
+from tests.conftest import pandas_view
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +16,14 @@ def arrow_df(spark):
 
 @pytest.fixture(scope="module")
 def pandas_df(spark):
-    return spark.createDataFrame(gen_events_pdf(sf=0.0005, seed=7),
+    return spark.createDataFrame(pandas_view(gen_events_table(sf=0.0005, seed=7)),
                                  schema=event_spark_schema())
 
 
 class TestArrowEqualsPandas:
+    """The test fixtures' pandas view reaches Spark with the same rows and
+    schema as ``gen_events``."""
+
     def test_same_schema(self, arrow_df, pandas_df):
         assert arrow_df.schema == pandas_df.schema
 
@@ -43,10 +40,7 @@ class TestArrowEqualsPandas:
 
 class TestToArrow:
     def test_empty_string_becomes_null(self):
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=True))
-        tbl = to_arrow(cols)
+        tbl = gen_events_table(sf=0.00005, n_hosts=5, attack=True)
         o_name = tbl.column("o_name")
         assert o_name.null_count > 0
         assert tbl.column("etype").null_count == 0
@@ -54,20 +48,14 @@ class TestToArrow:
 
     def test_schema_types(self):
         import pyarrow as pa
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=False))
-        tbl = to_arrow(cols)
+        tbl = gen_events_table(sf=0.00005, n_hosts=5, attack=False)
         assert tbl.schema.field("agentid").type == pa.int32()
         assert tbl.schema.field("ts").type == pa.int64()
         assert tbl.schema.field("o_port").type == pa.int32()
         assert tbl.schema.field("amount").type == pa.int64()
 
     def test_attack_names_not_truncated(self):
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=True))
-        tbl = to_arrow(cols)
+        tbl = gen_events_table(sf=0.00005, n_hosts=5, attack=True)
         names = set(tbl.column("o_name").to_pylist())
         assert "cve-2015-1701.exe" in set(tbl.column("s_name").to_pylist()) \
             | names

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.baseline import baseline_sql, run_baseline
 from repro.workload.queries import QUERIES
-from tests.conftest import assert_same_rows
+from repro.oracle import assert_same_rows
 
 NAMES = [q.name for q in QUERIES]
 

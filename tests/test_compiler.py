@@ -91,11 +91,12 @@ class TestPatternDf:
         assert pattern_df(tiny, a, "e2").columns == [
             "e2__s_uid", "e2__ts", "e2__o_name", "e2__amount"]
 
-    def test_same_alias_join_keeps_both_uid_columns(self):
-        # p is both subject and object of e1: (e1, s_uid, e1, o_uid).
+    def test_same_variable_in_one_pattern_keeps_one_uid_column(self):
+        # p is both subject and object of e1: a predicate inside e1, so
+        # only the cross-pattern uid is kept.
         a = ana('proc p start proc p as e1\n'
                 'proc p read file f as e2\nreturn p')
-        assert pattern_cols(a, "e1") == ["s_uid", "o_uid", "s_name"]
+        assert pattern_cols(a, "e1") == ["s_uid", "s_name"]
         assert pattern_cols(a, "e2") == ["s_uid"]
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
-from tests.conftest import DAY0, assert_same_rows, file_ev, make_events, run_duckdb
+from repro.oracle import assert_same_rows, run_duckdb
+from tests.conftest import DAY0, file_ev, make_events
 
 AT = '(at "04/10/2018")\n'
 
@@ -180,6 +181,22 @@ class TestBackslashLiterals:
         assert list(want["f"]) == ["C:\\temp\\x.exe"]
         assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), want)
         assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
+
+
+class TestSameVariableInOnePattern:
+    """A variable that is both subject and object of one pattern is a
+    column equality inside that pattern, for the engine, the Spark
+    baseline and DuckDB alike."""
+
+    @pytest.mark.parametrize("q, n", [
+        ('proc p start proc p as e1\nproc p read file f as e2\nreturn distinct p', 13),
+        ('proc p start proc p as e1\nreturn p', 20),
+    ], ids=["two_patterns", "one_pattern"])
+    def test_engine_baseline_duckdb_agree(self, spark, engine, events, events_pdf, q, n):
+        want = run_duckdb(oracle_sql(q), events=events_pdf)
+        assert len(want) == n
+        assert_same_rows(engine.execute(q).toPandas(), want)
+        assert_same_rows(run_baseline(spark, q, events).toPandas(), want)
 
 
 class TestEmptyPattern:

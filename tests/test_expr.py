@@ -2,7 +2,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.analyzer import Pred
+from repro.core.analyzer import ColEq, Pred
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
 from repro.core.expr import pred_sql, sql_quote, to_sql
 
@@ -42,6 +42,9 @@ class TestSqlQuote:
         p = Pred("o_name", "like", "C:\\t%")
         assert pred_sql(p) == "o_name LIKE 'C:\\\\\\\\t%'"
         assert pred_sql(p, dialect="duckdb") == "o_name LIKE 'C:\\t%'"
+
+    def test_column_equality_prefixes_both_columns(self):
+        assert pred_sql(ColEq("s_uid", "o_uid"), "e1.") == "e1.s_uid = e1.o_uid"
 
     def test_spark_reads_literal_back(self, spark):
         v = "a\\b'c"

@@ -1,21 +1,21 @@
-"""Synthetic-trace generator tests: determinism, schema, attack injection."""
-import numpy as np
+"""Synthetic-trace generator tests: determinism, schema, attack injection.
+
+They read the generator's Arrow table through the test fixtures' pandas
+view."""
 import pandas as pd
 import pytest
 
-from repro.monitor.generator import (
-    ATTACKER_IP,
-    as_event_frame,
-    gen_events_pdf,
-    host_ip,
-)
+from repro.monitor.generator import ATTACKER_IP, gen_events_table, host_ip
+from tests.conftest import DAY0, make_events, pandas_view
 
-DAY0 = 1523318400000
+
+def trace(**kw) -> pd.DataFrame:
+    return pandas_view(gen_events_table(**kw))
 
 
 @pytest.fixture(scope="module")
-def pdf():
-    return gen_events_pdf(sf=0.001, seed=0)
+def pdf(events_pdf):
+    return events_pdf
 
 
 class TestShape:
@@ -25,12 +25,12 @@ class TestShape:
         assert n_attack > 80  # the scripted kill-chain + exfil bursts
 
     def test_deterministic(self, pdf):
-        again = gen_events_pdf(sf=0.001, seed=0)
+        again = trace(sf=0.001, seed=0)
         pd.testing.assert_frame_equal(pdf, again)
 
     def test_seed_changes_background(self):
-        a = gen_events_pdf(sf=0.0005, seed=0)
-        b = gen_events_pdf(sf=0.0005, seed=1)
+        a = trace(sf=0.0005, seed=0)
+        b = trace(sf=0.0005, seed=1)
         assert not a.equals(b)
 
     def test_eids_unique_and_time_ordered(self, pdf):
@@ -54,22 +54,22 @@ class TestShape:
         assert set(pdf["day"]) == {"2018-04-10"}
 
     def test_multi_day(self):
-        p = gen_events_pdf(sf=0.0005, days=3)
+        p = trace(sf=0.0005, days=3)
         assert len(set(p["day"])) == 3
 
     def test_too_few_hosts_raises(self):
         with pytest.raises(ValueError, match="hosts 1-5"):
-            gen_events_pdf(sf=0.001, n_hosts=3)
+            trace(sf=0.001, n_hosts=3)
 
     def test_no_attack(self):
-        p = gen_events_pdf(sf=0.001, attack=False, n_hosts=3)
+        p = trace(sf=0.001, attack=False, n_hosts=3)
         assert not p["s_uid"].str.contains("-atk").any()
 
 
 class TestTyping:
     def test_dtypes(self, pdf):
-        assert pdf["ts"].dtype == np.int64
-        assert pdf["agentid"].dtype == np.int32
+        assert str(pdf["ts"].dtype) == "Int64"
+        assert str(pdf["agentid"].dtype) == "Int32"
         assert str(pdf["amount"].dtype) == "Int64"
         assert str(pdf["o_port"].dtype) == "Int32"
 
@@ -142,17 +142,17 @@ class TestHelpers:
     def test_host_ip(self):
         assert host_ip(3) == "10.0.0.3"
 
-    def test_as_event_frame_defaults(self):
-        p = as_event_frame(pd.DataFrame([
+    def test_make_events_defaults(self):
+        p = make_events([
             dict(agentid=1, ts=DAY0 + 5, etype="process", op="start",
-                 s_uid="x", s_name="bash")]))
+                 s_uid="x", s_name="bash")])
         assert p["o_uid"].isna().all() and p["eid"].tolist() == [1]
         assert p["day"].tolist() == ["2018-04-10"]
 
-    def test_as_event_frame_sorts(self):
-        p = as_event_frame(pd.DataFrame([
+    def test_make_events_sorts(self):
+        p = make_events([
             dict(agentid=1, ts=DAY0 + 10, etype="process", op="start",
                  s_uid="b", s_name="b"),
             dict(agentid=1, ts=DAY0 + 5, etype="process", op="start",
-                 s_uid="a", s_name="a")]))
+                 s_uid="a", s_name="a")])
         assert p["s_uid"].tolist() == ["a", "b"]

@@ -1,4 +1,4 @@
-"""Self-tests of the DuckDB result-equality oracle (provided module)."""
+"""Self-tests of the DuckDB result-equality oracle."""
 import pandas as pd
 import pytest
 
@@ -41,6 +41,11 @@ class TestOracle:
 
     def test_spark_input_table(self, spark, df):
         assert_equivalent(df, "SELECT k, v FROM t", t=df)
+
+    def test_arrow_input_table(self, df):
+        import pyarrow as pa
+        t = pa.table({"k": [2, 1, 2], "v": [30.0, 10.0, 20.0]})
+        assert_equivalent(df, "SELECT k, v FROM t", t=t)
 
     def test_float_rounding_tolerated(self, spark):
         d = spark.createDataFrame(pd.DataFrame({"x": [0.1 + 0.2]}))

@@ -6,7 +6,7 @@ from repro.core.baseline import oracle_sql
 from repro.core.engine import analyze_text
 from repro.core.parser import parse
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
-from tests.conftest import assert_same_rows, run_duckdb
+from repro.oracle import assert_same_rows, run_duckdb
 
 AT = '(at "04/10/2018")\n'
 
